@@ -636,7 +636,7 @@ let bench_scaling_cmd =
     | _ ->
         let cells = Scaling.Report.run ~quick ?reps ~progress:Format.err_formatter () in
         let reps = match reps with Some r -> r | None -> if quick then 3 else 5 in
-        Scaling.Report.write ~path:out ~quick ~reps cells;
+        Json_min.write_file out [ Scaling.Report.to_json ~quick ~reps cells ];
         Scaling.Report.summary Format.std_formatter cells;
         Printf.eprintf "wrote %s\n" out;
         0
@@ -784,14 +784,23 @@ let bench_serve_cmd =
         Thread.join server2;
         ignore (must (request (Serve.Protocol.verb_line "shutdown")));
         Thread.join server;
-        let oc = open_out out in
-        Printf.fprintf oc
-          "{\"schema\":\"nova-bench-serve/v1\",\"mode\":\"default\",\"runs\":[{\"name\":\"%s\",\"mode\":\"encode\",\"algorithm\":\"ihybrid\",\"cold_wall_s\":%.6f,\"warm_wall_s\":%.6f,\"warm_origin\":\"%s\",\"coalesced_wall_s\":%.6f,\"rps\":%.2f,\"clients\":%d,\"coalesced\":%d,\"metered_wall_s\":%.6f,\"bare_wall_s\":%.6f,\"metrics_overhead\":%.4f}]}\n"
-          machine cold_s warm_s
-          (Option.value warm.Serve.Protocol.origin ~default:"?")
-          coalesced_s rps clients coalesced_n metered_wall_s bare_wall_s
-          metrics_overhead;
-        close_out oc;
+        let run =
+          Json_min.(
+            Obj
+              [
+                ("name", Str machine); ("mode", Str "encode"); ("algorithm", Str "ihybrid");
+                ("cold_wall_s", Num cold_s); ("warm_wall_s", Num warm_s);
+                ("warm_origin", Str (Option.value warm.Serve.Protocol.origin ~default:"?"));
+                ("coalesced_wall_s", Num coalesced_s); ("rps", Num rps);
+                ("clients", int clients); ("coalesced", int coalesced_n);
+                ("metered_wall_s", Num metered_wall_s); ("bare_wall_s", Num bare_wall_s);
+                ("metrics_overhead", Num metrics_overhead);
+              ])
+        in
+        Json_min.(
+          write_file out
+            [ Obj [ ("schema", Str "nova-bench-serve/v1"); ("mode", Str "default");
+                    ("runs", Arr [ run ]) ] ]);
         Printf.printf
           "serve bench %s: cold %.4fs, warm %.4fs (%.1fx), coalesced %.4fs/req over %d \
            clients (%.1fx, %d shared), %.1f req/s, metrics overhead %.2fx over %d warm \

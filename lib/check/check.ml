@@ -209,25 +209,16 @@ let summary c =
       (String.concat "; "
          (List.map (fun o -> Printf.sprintf "%s (%s)" (check_name o.id) o.detail) (failures c)))
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | ch when Char.code ch < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
-
 let to_json c =
   let check o =
-    Printf.sprintf "{\"name\":\"%s\",\"pass\":%b,\"span_s\":%.6f,\"detail\":\"%s\"}"
-      (check_name o.id) o.pass o.span_s (json_escape o.detail)
+    Json_min.(
+      Obj
+        [
+          ("name", Str (check_name o.id)); ("pass", Bool o.pass); ("span_s", Num o.span_s);
+          ("detail", Str o.detail);
+        ])
   in
-  Printf.sprintf "{\"ok\":%b,\"checks\":[%s]}" c.ok
-    (String.concat "," (List.map check c.checks))
+  Json_min.(Obj [ ("ok", Bool c.ok); ("checks", Arr (List.map check c.checks)) ])
 
 (* ---------------------------------------------------------------------- *)
 (* Fault injection *)

@@ -108,9 +108,9 @@ val failures : t -> outcome list
     the failed check names with their details. *)
 val summary : t -> string
 
-(** [to_json c] is a machine-readable rendering (stable field names:
+(** [to_json c] is the certificate as a JSON value (stable field names:
     [ok], [checks[].name/pass/span_s/detail]) for [BENCH_check.json]. *)
-val to_json : t -> string
+val to_json : t -> Json_min.t
 
 (** Fault injection: mutate artifacts in ways that {e genuinely} break
     the contract, so the test harness can assert the checker catches

@@ -183,58 +183,26 @@ let report ppf () =
     (histograms ());
   Format.fprintf ppf "@]"
 
-(* --- JSON serialization (no external deps) ----------------------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  (* %.6f keeps timings readable; %g would turn tiny values into exponents. *)
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6f" f
-
-let buf_kv_seq buf ~first kv =
-  if not !first then Buffer.add_char buf ',';
-  first := false;
-  Buffer.add_string buf kv
-
+(* The registries as one JSON object; names stay sorted, as in [report]. *)
 let to_json () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"counters\":{";
-  let first = ref true in
-  List.iter
-    (fun (name, n) ->
-      buf_kv_seq buf ~first (Printf.sprintf "\"%s\":%d" (json_escape name) n))
-    (counters ());
-  Buffer.add_string buf "},\"timers\":{";
-  let first = ref true in
-  List.iter
-    (fun (name, s, calls) ->
-      buf_kv_seq buf ~first
-        (Printf.sprintf "\"%s\":{\"seconds\":%s,\"calls\":%d}" (json_escape name)
-           (json_float s) calls))
-    (timers ());
-  Buffer.add_string buf "},\"histograms\":{";
-  let first = ref true in
-  List.iter
-    (fun (name, buckets, overflow) ->
-      let trimmed = trimmed_buckets buckets in
-      let cells =
-        String.concat "," (Array.to_list (Array.map string_of_int trimmed))
-      in
-      buf_kv_seq buf ~first
-        (Printf.sprintf "\"%s\":{\"buckets\":[%s],\"overflow\":%d}" (json_escape name)
-           cells overflow))
-    (histograms ());
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  Json_min.(
+    Obj
+      [
+        ("counters", Obj (List.map (fun (name, n) -> (name, int n)) (counters ())));
+        ( "timers",
+          Obj
+            (List.map
+               (fun (name, s, calls) -> (name, Obj [ ("seconds", Num s); ("calls", int calls) ]))
+               (timers ())) );
+        ( "histograms",
+          Obj
+            (List.map
+               (fun (name, buckets, overflow) ->
+                 ( name,
+                   Obj
+                     [
+                       ("buckets", Arr (List.map int (Array.to_list (trimmed_buckets buckets))));
+                       ("overflow", int overflow);
+                     ] ))
+               (histograms ())) );
+      ])

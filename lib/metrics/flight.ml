@@ -70,17 +70,5 @@ let to_json ?(reason = "request") t =
     ]
 
 let dump ?reason ~path t =
-  (* Atomic artifact write (tmp + rename), and best-effort: a failing
-     dump must never take the daemon down with it. *)
-  try
-    let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-    let oc = open_out tmp in
-    (try
-       output_string oc (Json_min.render (to_json ?reason t));
-       output_char oc '\n'
-     with e ->
-       close_out_noerr oc;
-       raise e);
-    close_out oc;
-    Unix.rename tmp path
-  with _ -> ()
+  (* Best-effort: a failing dump must never take the daemon down with it. *)
+  try Json_min.write_file path [ to_json ?reason t ] with _ -> ()

@@ -46,14 +46,13 @@ val run :
     3 (quick) / 5 (full); one progress line per cell goes to
     [progress]. *)
 
-val to_json : quick:bool -> reps:int -> cell list -> string
+val to_json : quick:bool -> reps:int -> cell list -> Json_min.t
 (** The [nova-bench-scaling/v1] artifact. Fit metrics flatten to
     [fit.model_order] / [fit.fitted_exponent] (the differ's complexity
     gate); inconclusive cells omit them, so a cell degrading to
     inconclusive surfaces as a vanished-metric regression. Raw samples
-    live in the [points] array, which the differ skips. *)
-
-val write : path:string -> quick:bool -> reps:int -> cell list -> unit
+    live in the [points] array, which the differ skips. Write it with
+    [Json_min.write_file]. *)
 
 val summary : Format.formatter -> cell list -> unit
 (** One line per cell: fitted class, exponent, fit quality, top size. *)

@@ -185,34 +185,19 @@ let with_span_result ?(attrs = []) name f =
 
 (* --- export ------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Json_min
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6f" f
-
-let value_json = function
-  | String s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Int i -> string_of_int i
-  | Float f -> json_float f
-  | Bool b -> string_of_bool b
-
-let attrs_json attrs =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (value_json v)) attrs)
-  ^ "}"
+let json_of_attrs attrs =
+  J.Obj
+    (List.map
+       (fun (k, v) ->
+         ( k,
+           match v with
+           | String s -> J.Str s
+           | Int i -> J.int i
+           | Float f -> J.Num f
+           | Bool b -> J.Bool b ))
+       attrs)
 
 (* A consistent snapshot of the buffer, in emission order, plus the
    per-track names for the exports. *)
@@ -226,20 +211,6 @@ let snapshot () =
 
 let track_name ~main id = if id = main then "main" else Printf.sprintf "domain-%d" id
 
-(* tmp + rename, like the cache: a reader never sees a half-written
-   trace, and a crashed export leaves the previous file intact. *)
-let write_atomic path render =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  match
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> render oc);
-    Sys.rename tmp path
-  with
-  | () -> ()
-  | exception e ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e
-
 let phase = function Begin -> "B" | End -> "E" | Instant -> "i"
 
 (* Chrome trace-event JSON: the run manifest rides in "metadata" (shown
@@ -247,57 +218,47 @@ let phase = function Begin -> "B" | End -> "E" | Instant -> "i"
    events label the lanes. *)
 let export_chrome ~path () =
   let evs, track_ids, meta, main = snapshot () in
-  write_atomic path @@ fun oc ->
-  output_string oc "{\"traceEvents\":[";
-  let first = ref true in
-  let emit s =
-    if not !first then output_string oc ",";
-    first := false;
-    output_string oc s
+  let thread_name id =
+    J.Obj
+      [
+        ("name", J.Str "thread_name"); ("ph", J.Str "M"); ("pid", J.int 1); ("tid", J.int id);
+        ("args", J.Obj [ ("name", J.Str (track_name ~main id)) ]);
+      ]
   in
-  List.iter
-    (fun id ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           id
-           (json_escape (track_name ~main id))))
-    track_ids;
-  List.iter
-    (fun e ->
-      let scope = match e.kind with Instant -> ",\"s\":\"t\"" | Begin | End -> "" in
-      emit
-        (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%s,\"pid\":1,\"tid\":%d%s,\"args\":%s}"
-           (json_escape e.name) (phase e.kind) (json_float e.ts) e.track scope
-           (attrs_json e.attrs)))
-    evs;
-  output_string oc "],\"displayTimeUnit\":\"ms\",\"metadata\":";
-  output_string oc (attrs_json meta);
-  output_string oc "}\n"
+  let event e =
+    J.Obj
+      ([ ("name", J.Str e.name); ("ph", J.Str (phase e.kind)); ("ts", J.Num e.ts);
+         ("pid", J.int 1); ("tid", J.int e.track) ]
+      @ (match e.kind with Instant -> [ ("s", J.Str "t") ] | Begin | End -> [])
+      @ [ ("args", json_of_attrs e.attrs) ])
+  in
+  J.write_file path
+    [
+      J.Obj
+        [
+          ("traceEvents", J.Arr (List.map thread_name track_ids @ List.map event evs));
+          ("displayTimeUnit", J.Str "ms");
+          ("metadata", json_of_attrs meta);
+        ];
+    ]
 
 (* JSONL: one event per line, the first line being the run manifest —
    an append-only log a tail-reader can follow record by record. *)
 let export_jsonl ~path () =
   let evs, track_ids, meta, main = snapshot () in
-  write_atomic path @@ fun oc ->
-  let tracks_json =
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun id -> Printf.sprintf "\"%d\":\"%s\"" id (json_escape (track_name ~main id)))
-           track_ids)
-    ^ "}"
+  let tracks =
+    J.Obj (List.map (fun id -> (string_of_int id, J.Str (track_name ~main id))) track_ids)
   in
-  output_string oc
-    (Printf.sprintf "{\"type\":\"meta\",\"meta\":%s,\"tracks\":%s}\n" (attrs_json meta)
-       tracks_json);
-  List.iter
-    (fun e ->
-      output_string oc
-        (Printf.sprintf "{\"type\":\"%s\",\"ts\":%s,\"track\":%d,\"name\":\"%s\",\"attrs\":%s}\n"
-           (phase e.kind) (json_float e.ts) e.track (json_escape e.name)
-           (attrs_json e.attrs)))
-    evs
+  let event e =
+    J.Obj
+      [
+        ("type", J.Str (phase e.kind)); ("ts", J.Num e.ts); ("track", J.int e.track);
+        ("name", J.Str e.name); ("attrs", json_of_attrs e.attrs);
+      ]
+  in
+  J.write_file path
+    (J.Obj [ ("type", J.Str "meta"); ("meta", json_of_attrs meta); ("tracks", tracks) ]
+    :: List.map event evs)
 
 (* Format dispatch on the extension: .jsonl is the event log, anything
    else the Chrome trace. *)

@@ -64,8 +64,3 @@ val export_jsonl : path:string -> unit -> unit
 val export : path:string -> unit -> unit
 (** Dispatch on extension: [.jsonl] → {!export_jsonl}, anything else →
     {!export_chrome}. *)
-
-val json_escape : string -> string
-(** Exposed for the exporter tests: escape a string for a JSON literal
-    (quotes, backslashes, control characters; non-ASCII bytes pass
-    through as UTF-8). *)

@@ -20,6 +20,13 @@ NOVA=_build/default/bin/nova_cli.exe
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
+# A bench artifact must diff clean against itself, which also proves it
+# parses as JSON and carries a known schema.
+self_diff() {
+  $NOVA bench-diff "$1" "$1" > /dev/null \
+    || { echo "self bench-diff of $1 reported a regression"; exit 1; }
+}
+
 $NOVA encode -a iexact test/cli/good.kiss2 > /dev/null
 echo "  encode success: exit 0 ok"
 
@@ -134,14 +141,15 @@ $VALIDATE "$TMP/trace.jsonl" \
 echo "  traced report bit-identical, both export formats validate: ok"
 
 echo "== bench-diff smoke: self-diff clean, injected regression fails =="
-$NOVA bench-diff BENCH_parallel.json BENCH_parallel.json > /dev/null \
-  || { echo "self bench-diff reported a regression"; exit 1; }
+for artifact in BENCH_*.json; do
+  self_diff "$artifact"
+done
 sed 's/"seq_wall_s":[0-9.eE+-]*/"seq_wall_s":9999.0/' BENCH_parallel.json \
   > "$TMP/bench-regressed.json"
 rc=0; $NOVA bench-diff BENCH_parallel.json "$TMP/bench-regressed.json" \
   > /dev/null || rc=$?
 [ "$rc" -eq 1 ] || { echo "injected regression: expected exit 1, got $rc"; exit 1; }
-echo "  bench-diff: self-diff exit 0, injected slowdown exit 1: ok"
+echo "  bench-diff: committed artifacts self-diff exit 0, injected slowdown exit 1: ok"
 
 echo "== scaling bench smoke: quick grid, fitted-complexity gate =="
 # The quick grid (states 8-64, cheap algorithms, 3 reps) must produce a
@@ -150,8 +158,7 @@ $NOVA bench scaling --quick --out "$TMP/BENCH_scaling.json" > /dev/null 2>&1
 grep -q '"schema":"nova-bench-scaling/v1"' "$TMP/BENCH_scaling.json" \
   || { echo "scaling artifact missing schema"; exit 1; }
 # ...that self-diffs clean...
-$NOVA bench-diff "$TMP/BENCH_scaling.json" "$TMP/BENCH_scaling.json" > /dev/null \
-  || { echo "scaling self-diff reported a regression"; exit 1; }
+self_diff "$TMP/BENCH_scaling.json"
 # ...while an injected complexity bump on one cell (a quadratic -> cubic
 # style class flip plus exponent drift; the values are pinned above any
 # class the noisy quick fit can legitimately produce) must fail the gate.
@@ -270,8 +277,7 @@ grep -q '"schema":"nova-bench-serve/v1"' "$TMP/BENCH_serve.json" \
   || { echo "serve artifact missing schema"; exit 1; }
 grep -q '"warm_origin":"cached"' "$TMP/BENCH_serve.json" \
   || { echo "warm tier missed the cache"; exit 1; }
-$NOVA bench-diff BENCH_serve.json BENCH_serve.json > /dev/null \
-  || { echo "serve self-diff reported a regression"; exit 1; }
+self_diff "$TMP/BENCH_serve.json"
 # Pseudo-baseline gate (the par<=seq pattern): set both fast tiers to
 # cold/5; bench-diff then fails iff a measured tier is slower than
 # that — i.e. less than 5x better than this run's own cold tier.
@@ -305,6 +311,7 @@ BENCH=$(pwd)/_build/default/bench/main.exe
 
 echo "== bench smoke (quick parallel executor) =="
 (cd "$TMP" && "$BENCH" --quick --jobs=2 parallel)
+self_diff "$TMP/BENCH_parallel.json"
 
 echo "== parallel gate: pool must not be slower than sequential =="
 # Sequential fallback satellite: construct a pseudo-baseline whose
@@ -335,11 +342,14 @@ echo "  supervised wall within 25% of bare wall: ok"
 
 echo "== bench smoke (quick espresso kernels) =="
 (cd "$TMP" && "$BENCH" --quick espresso)
+self_diff "$TMP/BENCH_espresso.json"
 
 echo "== bench smoke (quick pipeline) =="
 (cd "$TMP" && "$BENCH" --quick pipeline)
+self_diff "$TMP/BENCH_pipeline.json"
 
 echo "== bench smoke (quick certification) =="
 (cd "$TMP" && "$BENCH" --quick check)
+self_diff "$TMP/BENCH_check.json"
 
 echo "CI OK"

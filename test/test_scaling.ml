@@ -250,17 +250,19 @@ let tiny_cell () =
     ~sizes:[ 8; 12; 16; 24 ]
     { Scaling.Report.algorithm = Harness.Driver.Igreedy; max_states = 64 }
 
+let write_artifact path cells =
+  Json_min.write_file path [ Scaling.Report.to_json ~quick:true ~reps:1 cells ]
+
 let test_report_cell_and_artifact () =
   let cell = tiny_cell () in
   check_int "all four sizes measured" 4 (List.length cell.Scaling.Report.points);
-  let json = Scaling.Report.to_json ~quick:true ~reps:1 [ cell ] in
-  let j = Json_min.of_string json in
+  let j = Scaling.Report.to_json ~quick:true ~reps:1 [ cell ] in
   (match Option.bind (Json_min.member "schema" j) Json_min.to_string with
   | Some s -> check_str "schema" "nova-bench-scaling/v1" s
   | None -> Alcotest.fail "no schema field");
   with_temp_dir @@ fun dir ->
   let path = Filename.concat dir "BENCH_scaling.json" in
-  Scaling.Report.write ~path ~quick:true ~reps:1 [ cell ];
+  write_artifact path [ cell ];
   let a = Bench_diff.load path in
   check_str "differ reads the schema" "nova-bench-scaling/v1" a.Bench_diff.schema;
   check_int "self-diff is clean" 0 (Bench_diff.num_regressions (Bench_diff.diff a a));
@@ -285,7 +287,7 @@ let test_report_max_states_cap () =
   | Scaling.Fit.Inconclusive why ->
       Alcotest.failf "wrong reason: %s" (Scaling.Fit.inconclusive_reason why)
   | Scaling.Fit.Fitted _ -> Alcotest.fail "3 points must be inconclusive");
-  let j = Json_min.of_string (Scaling.Report.to_json ~quick:true ~reps:1 [ cell ]) in
+  let j = Scaling.Report.to_json ~quick:true ~reps:1 [ cell ] in
   let row =
     match Option.bind (Json_min.member "benchmarks" j) Json_min.to_list with
     | Some [ r ] -> r
@@ -308,8 +310,8 @@ let test_report_inconclusive_regresses_against_fitted () =
       { Scaling.Report.algorithm = Harness.Driver.Igreedy; max_states = 16 }
   in
   let old_p = Filename.concat dir "old.json" and new_p = Filename.concat dir "new.json" in
-  Scaling.Report.write ~path:old_p ~quick:true ~reps:1 [ fitted_cell ];
-  Scaling.Report.write ~path:new_p ~quick:true ~reps:1 [ capped ];
+  write_artifact old_p [ fitted_cell ];
+  write_artifact new_p [ capped ];
   let r = Bench_diff.diff (Bench_diff.load old_p) (Bench_diff.load new_p) in
   check "going inconclusive is a regression" true (Bench_diff.num_regressions r > 0);
   check "the vanished gate metrics are named" true

@@ -399,9 +399,6 @@ let test_serve_chaos_typed_crash () =
 (* ------------------------------------------------------------------ *)
 (* Coalescing: K concurrent identical requests, one computation *)
 
-let instrument_counter name =
-  match List.assoc_opt name (Instrument.counters ()) with Some n -> n | None -> 0
-
 let test_inflight_unit () =
   let table = Exec.Inflight.create () in
   let gate = Mutex.create () in
@@ -456,15 +453,10 @@ let test_inflight_unit () =
 
 let test_serve_coalescing () =
   with_temp_dir @@ fun cache_dir ->
-  let was_on = Instrument.enabled () in
-  Instrument.enable ();
-  Fun.protect ~finally:(fun () -> if not was_on then Instrument.disable ()) @@ fun () ->
   with_server ~tweak:(fun c ->
       { c with Serve.Server.cache = Some (Exec.Cache.open_dir cache_dir) })
   @@ fun path ->
   let base = Serve.Server.last_stats () in
-  let i_computed0 = instrument_counter "serve.computed" in
-  let i_coalesced0 = instrument_counter "serve.coalesced" in
   (* A blocker occupies the single compute slot (~0.5 s of real work),
      so the K identical requests provably overlap: their leader queues
      on the slot while the followers pile into the in-flight table. *)
@@ -527,10 +519,6 @@ let test_serve_coalescing () =
     (s.Serve.Server.computed - base.Serve.Server.computed);
   check_int "coalesced counter" (k - 1) (s.Serve.Server.coalesced - base.Serve.Server.coalesced);
   check_int "no cache hit involved" 0 (s.Serve.Server.cache_hits - base.Serve.Server.cache_hits);
-  (* The same story through the Instrument fabric. *)
-  check_int "instrument serve.computed" 2 (instrument_counter "serve.computed" - i_computed0);
-  check_int "instrument serve.coalesced" (k - 1)
-    (instrument_counter "serve.coalesced" - i_coalesced0);
   match !blocker with
   | Some r -> check "blocker served" true r.Serve.Protocol.ok
   | None -> Alcotest.fail "blocker reply missing"

@@ -1,8 +1,8 @@
 (* Tests for the tracing layer and its satellites: the taut_fast
    saturation fix behind the kiss certification failure, the timer
-   reentrancy assertion, JSON escaping in both serializers (round-tripped
-   through the in-repo parser), concurrent two-domain span emission, the
-   trace validator, and the bench regression differ. *)
+   reentrancy assertion, JSON escaping (rendered by Json_min and
+   round-tripped through its parser), concurrent two-domain span
+   emission, the trace validator, and the bench regression differ. *)
 
 open Logic
 
@@ -111,10 +111,9 @@ let test_instrument_sorted_output () =
 let nasty = "quote\" back\\slash\nnewline\ttab \001ctl ünïcode π \127"
 
 let test_trace_json_escape () =
-  let quoted = "\"" ^ Trace.json_escape nasty ^ "\"" in
-  match Json_min.of_string quoted with
-  | Json_min.Str s -> check_str "escaped string round-trips" nasty s
-  | _ -> Alcotest.fail "escaped string did not parse as a string"
+  match Json_min.of_string (Json_min.render (Json_min.Str nasty)) with
+  | Json_min.Str s -> check_str "rendered string round-trips" nasty s
+  | _ -> Alcotest.fail "rendered string did not parse as a string"
 
 let test_instrument_json_escaping () =
   let was_on = Instrument.enabled () in
@@ -124,10 +123,33 @@ let test_instrument_json_escaping () =
     (fun () ->
       let name = "test.trace.nasty " ^ nasty in
       Instrument.bump (Instrument.counter name);
-      let j = Json_min.of_string (Instrument.to_json ()) in
+      let j = Json_min.of_string (Json_min.render (Instrument.to_json ())) in
       match Option.bind (Json_min.member "counters" j) (Json_min.member name) with
       | Some (Json_min.Num n) -> check "nasty counter serialized and found" true (n >= 1.)
       | _ -> Alcotest.fail "nasty counter name did not survive to_json")
+
+(* One rendered value per line; a failed write (here the rename onto a
+   non-empty directory) raises and leaves no temp file behind. *)
+let test_json_write_file () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "a.jsonl" in
+  let vs = Json_min.[ Obj [ ("k", Str nasty) ]; Arr [ int 1; Num 0.5; Null ] ] in
+  Json_min.write_file path vs;
+  let ic = open_in_bin path in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  close_in ic;
+  check "one value per line" true
+    (List.map Json_min.of_string (List.filter (( <> ) "") lines) = vs);
+  let blocked = Filename.concat dir "blocked" in
+  Unix.mkdir blocked 0o755;
+  Json_min.write_file (Filename.concat blocked "x.json") [ Json_min.Null ];
+  (match Json_min.write_file blocked [ Json_min.Null ] with
+  | () -> Alcotest.fail "rename onto a non-empty directory must fail"
+  | exception Sys_error _ -> ());
+  check "no temp file left" true
+    (List.sort compare (Array.to_list (Sys.readdir dir)) = [ "a.jsonl"; "blocked" ]);
+  Sys.remove (Filename.concat blocked "x.json");
+  Unix.rmdir blocked
 
 let test_trace_export_attr_roundtrip () =
   with_temp_dir @@ fun dir ->
@@ -136,7 +158,8 @@ let test_trace_export_attr_roundtrip () =
   Trace.with_span "outer"
     ~attrs:[ ("machine", Trace.String nasty); ("algorithm", Trace.String "kiss") ]
     (fun () ->
-      Trace.instant "tick" ~attrs:[ ("n", Trace.Int 3); ("f", Trace.Float 1.5) ];
+      Trace.instant "tick"
+        ~attrs:[ ("n", Trace.Int 3); ("f", Trace.Float 1.5); ("nan", Trace.Float Float.nan) ];
       Trace.with_span "inner" (fun () -> ()));
   List.iter
     (fun file ->
@@ -376,6 +399,8 @@ let suite =
       test_trace_json_escape;
     Alcotest.test_case "instrument: to_json escapes hostile names" `Quick
       test_instrument_json_escaping;
+    Alcotest.test_case "json: write_file writes atomically, one value per line" `Quick
+      test_json_write_file;
     Alcotest.test_case "trace: both exports round-trip attrs and validate" `Quick
       test_trace_export_attr_roundtrip;
     Alcotest.test_case "trace: two-domain concurrent emission stays well-formed" `Quick
