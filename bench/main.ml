@@ -54,7 +54,8 @@ let tests =
            let sm = Symbmin.run (Symbolic.of_fsm m) in
            Iohybrid.iohybrid_code sm.Symbmin.problem));
     Test.make ~name:"table6:semiexact(paper-example)"
-      (Staged.stage (fun () -> Iexact.semiexact_code ~num_states:7 ~k:4 (paper_ics ())));
+      (Staged.stage (fun () ->
+           Iexact.semiexact_code ~k:4 (Input_poset.build ~num_states:7 (paper_ics ()))));
     Test.make ~name:"table7:mustang+factoring(lion)"
       (Staged.stage (fun () ->
            let m = lion () in
@@ -173,12 +174,14 @@ let run_espresso ~quick () =
    reference path) and iexact under a 50 ms wall-clock deadline (the
    graceful-degradation path — the fallback ladder must still produce an
    encoding). Each row records which rung produced the encoding, the
-   degradations along the way, and the per-stage Instrument spans. *)
+   degradations along the way, and the per-stage Instrument spans,
+   including the embedding search ([embed.solve]). *)
 
 let pipeline_stage_spans () =
   Instrument.timers ()
   |> List.filter (fun (n, _, _) ->
-         String.starts_with ~prefix:"pipeline." n || n = "espresso.minimize")
+         String.starts_with ~prefix:"pipeline." n
+         || List.mem n [ "espresso.minimize"; "embed.solve" ])
   |> List.map (fun (n, s, calls) ->
          Json_min.(Obj [ ("name", Str n); ("seconds", Num s); ("calls", int calls) ]))
 

@@ -732,8 +732,10 @@ let bench_serve_cmd =
            with the metrics registry on, then off. The daemon runs
            in-process on a thread, so [Metrics.Registry.set_enabled]
            reaches its hot paths directly; the ratio is what CI gates
-           metrics overhead on. *)
-        let warm_reps = 24 in
+           metrics overhead on. A warm hit takes a few milliseconds, so
+           the loop repeats it enough times to run for about a second:
+           a shorter loop is dominated by scheduling noise. *)
+        let warm_reps = 400 in
         let hammer () =
           for _ = 1 to warm_reps do
             ignore (must (request cold_line))

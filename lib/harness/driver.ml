@@ -199,7 +199,8 @@ let run_rung ~budget ~bits ~num_states ~ics ~problem (m : Fsm.t) algo rung =
         | Iexact.Exhausted -> exhausted (why budget))
     | Rung_semiexact -> (
         let k = max (Fsm.min_code_length m) (Option.value bits ~default:0) in
-        match Iexact.semiexact_code ~num_states ~k ~budget (groups_of (Lazy.force ics)) with
+        let poset = Input_poset.build ~num_states (groups_of (Lazy.force ics)) in
+        match Iexact.semiexact_code ~k ~budget poset with
         | Some codes -> Ok (Encoding.make ~nbits:k codes, ic_claims (Lazy.force ics))
         | None ->
             if Budget.exhausted budget then exhausted (why budget)

@@ -29,89 +29,109 @@ let solve (poset : Input_poset.t) params =
   let m = Array.length elements in
   if k < 1 || k > 62 || 1 lsl k < n then Unsat
   else begin
-    let faces : Face.t option array = Array.make m None in
-    (* Element lookup by state set, for the intersection condition. *)
-    let by_key = Hashtbl.create (2 * m) in
-    Array.iter (fun e -> Hashtbl.add by_key (Bitvec.to_string e.Input_poset.states) e.Input_poset.id) elements;
-    let element_of states = Hashtbl.find_opt by_key (Bitvec.to_string states) in
+    let all = (1 lsl k) - 1 in
+    let min_level = Array.map Input_poset.min_level elements in
+    let fathers = Array.map (fun e -> Array.of_list e.Input_poset.fathers) elements in
+    let children = Array.map (fun e -> Array.of_list e.Input_poset.children) elements in
+    let ids_of_category cats =
+      Array.of_list
+        (List.filter_map
+           (fun e -> if List.mem e.Input_poset.category cats then Some e.Input_poset.id else None)
+           (Array.to_list elements))
+    in
+    let forced_ids = ids_of_category [ 2 ] and selectable_ids = ids_of_category [ 1; 3 ] in
     (* The state of singleton elements, for output-covering checks. *)
     let singleton_state = Array.make m (-1) in
-    Array.iter
-      (fun e ->
-        if e.Input_poset.card = 1 then
-          match Bitvec.first_set e.Input_poset.states with
-          | Some s -> singleton_state.(e.Input_poset.id) <- s
-          | None -> ())
-      elements;
+    Array.iteri (fun s id -> singleton_state.(id) <- s) (Input_poset.singleton_ids poset);
+    (* The assignment: faces as (mask, bits) pairs, the assigned ids on a
+       stack ([pos] is an id's slot, -1 when unassigned), and per element
+       the number of fathers still unassigned. *)
+    let fmask = Array.make m 0 and fbits = Array.make m 0 in
+    let stack = Array.make m 0 and pos = Array.make m (-1) and top = ref 0 in
+    let waiting = Array.map Array.length fathers in
     let state_code = Array.make n (-1) in
+    let face_of id = { Face.mask = fmask.(id); bits = fbits.(id) } in
     let tick () =
       Instrument.bump c_ticks;
       if not (Budget.tick params.budget) then raise Work_exhausted
     in
-    (* Verification of Section 3.4.3 against every assigned element. *)
-    let verify id face =
+    (* Output covering relations on fully decided state codes, with
+       state [s] about to take code [code]. *)
+    let rec covering_holds s code = function
+      | [] -> true
+      | (oc : Constraints.output_constraint) :: rest ->
+          let u = oc.Constraints.covering and v = oc.Constraints.covered in
+          let cu = if u = s then code else state_code.(u) in
+          let cv = if v = s then code else state_code.(v) in
+          ((u <> s && v <> s) || cu < 0 || cv < 0 || (cu lor cv = cu && cu <> cv))
+          && covering_holds s code rest
+    in
+    (* Verification of Section 3.4.3 of face (fm, fb) for [id] against
+       every assigned element: face arithmetic on ints, set relations
+       from the poset's table. *)
+    let verify id fm fb =
       Instrument.bump c_verify;
-      let e = elements.(id) in
-      e.Input_poset.card <= Face.cardinality k face
+      min_level.(id) <= k - Bitvec.popcount_word fm
       &&
       let ok = ref true in
-      let j = ref 0 in
-      while !ok && !j < m do
-        (match faces.(!j) with
-        | Some fj when !j <> id ->
-            let sj = elements.(!j).Input_poset.states in
-            let se = e.Input_poset.states in
-            if Face.equal face fj then ok := false
-            else begin
-              (if Face.contains fj face && not (Bitvec.subset se sj) then ok := false);
-              (if Face.contains face fj && not (Bitvec.subset sj se) then ok := false);
-              if !ok then
-                match Face.inter face fj with
-                | None -> if not (Bitvec.disjoint se sj) then ok := false
-                | Some h -> (
-                    let common = Bitvec.inter se sj in
-                    if Bitvec.is_empty common then ok := false
-                    else
-                      match element_of common with
-                      | None -> ok := false (* closure guarantees this cannot happen *)
-                      | Some kid ->
-                          if elements.(kid).Input_poset.card > Face.cardinality k h then ok := false
-                          else
-                            let expected =
-                              if kid = id then Some face
-                              else if kid = !j then Some fj
-                              else faces.(kid)
-                            in
-                            (match expected with
-                            | Some fk -> if not (Face.equal fk h) then ok := false
-                            | None -> ()))
-            end
-        | Some _ | None -> ());
-        incr j
+      let i = ref 0 in
+      while !ok && !i < !top do
+        let j = stack.(!i) in
+        (if j <> id then
+           let gm = fmask.(j) and gb = fbits.(j) in
+           let r = Input_poset.pair poset id j in
+           if gm = fm && gb = fb then ok := false
+           else if
+             gm land lnot fm = 0 && (gb lxor fb) land gm = 0 && not (Input_poset.subset r)
+           then ok := false
+           else if
+             fm land lnot gm = 0 && (fb lxor gb) land fm = 0 && not (Input_poset.superset r)
+           then ok := false
+           else
+             let kid = Input_poset.inter_id r in
+             if fm land gm land (fb lxor gb) <> 0 then (if kid >= 0 then ok := false)
+             else if kid < 0 then ok := false
+             else
+               (* The faces meet in (hm, hb): it must hold the element
+                  of the common states, and be its face if assigned. *)
+               let hm = fm lor gm and hb = fb lor gb in
+               if min_level.(kid) > k - Bitvec.popcount_word hm then ok := false
+               else if kid = id then (if hm <> fm || hb <> fb then ok := false)
+               else if kid = j then (if hm <> gm || hb <> gb then ok := false)
+               else if pos.(kid) >= 0 && (hm <> fmask.(kid) || hb <> fbits.(kid)) then
+                 ok := false);
+        incr i
       done;
-      (* Output covering relations on fully decided state codes. *)
-      (if !ok && params.output_constraints <> [] && Face.level k face = 0 then
-         let s = singleton_state.(id) in
-         if s >= 0 then begin
-           let code_of t = if t = s then face.Face.bits else state_code.(t) in
-           List.iter
-             (fun (oc : Constraints.output_constraint) ->
-               let u = oc.Constraints.covering and v = oc.Constraints.covered in
-               if (u = s || v = s) && code_of u >= 0 && code_of v >= 0 then begin
-                 let cu = code_of u and cv = code_of v in
-                 if not (cu lor cv = cu && cu <> cv) then ok := false
-               end)
-             params.output_constraints
-         end);
       !ok
+      && (params.output_constraints = []
+         || fm <> all
+         || singleton_state.(id) < 0
+         || covering_holds singleton_state.(id) fb params.output_constraints)
     in
-    let assign id face =
-      faces.(id) <- Some face;
+    let assign id fm fb =
+      fmask.(id) <- fm;
+      fbits.(id) <- fb;
+      pos.(id) <- !top;
+      stack.(!top) <- id;
+      incr top;
+      let cs = children.(id) in
+      for x = 0 to Array.length cs - 1 do
+        waiting.(cs.(x)) <- waiting.(cs.(x)) - 1
+      done;
       let s = singleton_state.(id) in
-      if s >= 0 && Face.level k face = 0 then state_code.(s) <- face.Face.bits
+      if s >= 0 && fm = all then state_code.(s) <- fb
     in
     let unassign id =
-      faces.(id) <- None;
+      let p = pos.(id) in
+      let last = stack.(!top - 1) in
+      stack.(p) <- last;
+      pos.(last) <- p;
+      pos.(id) <- -1;
+      decr top;
+      let cs = children.(id) in
+      for x = 0 to Array.length cs - 1 do
+        waiting.(cs.(x)) <- waiting.(cs.(x)) + 1
+      done;
       let s = singleton_state.(id) in
       if s >= 0 then state_code.(s) <- -1
     in
@@ -121,42 +141,35 @@ let solve (poset : Input_poset.t) params =
     let cascade () =
       Instrument.bump c_cascades;
       let forced = ref [] in
-      let undo () = List.iter unassign !forced in
       let rec fix () =
         let progress = ref false in
         let conflict = ref false in
-        Array.iter
-          (fun e ->
-            let id = e.Input_poset.id in
-            if (not !conflict) && e.Input_poset.category = 2 && faces.(id) = None then begin
-              let father_faces =
-                List.map (fun f -> faces.(f)) e.Input_poset.fathers
-              in
-              if List.for_all Option.is_some father_faces then begin
-                let inter =
-                  List.fold_left
-                    (fun acc f ->
-                      match (acc, f) with
-                      | Some a, Some b -> Face.inter a b
-                      | None, _ | _, None -> None)
-                    (Some (Face.full k))
-                    father_faces
-                in
-                match inter with
-                | None -> conflict := true
-                | Some h ->
-                    tick ();
-                    if verify id h then begin
-                      assign id h;
-                      forced := id :: !forced;
-                      progress := true
-                    end
-                    else conflict := true
+        let i = ref 0 in
+        while (not !conflict) && !i < Array.length forced_ids do
+          let id = forced_ids.(!i) in
+          if pos.(id) < 0 && waiting.(id) = 0 then begin
+            let fs = fathers.(id) in
+            let hm = ref 0 and hb = ref 0 in
+            for x = 0 to Array.length fs - 1 do
+              let f = fs.(x) in
+              if !hm land fmask.(f) land (!hb lxor fbits.(f)) <> 0 then conflict := true;
+              hm := !hm lor fmask.(f);
+              hb := !hb lor fbits.(f)
+            done;
+            if not !conflict then begin
+              tick ();
+              if verify id !hm !hb then begin
+                assign id !hm !hb;
+                forced := id :: !forced;
+                progress := true
               end
-            end)
-          elements;
+              else conflict := true
+            end
+          end;
+          incr i
+        done;
         if !conflict then begin
-          undo ();
+          List.iter unassign !forced;
           None
         end
         else if !progress then fix ()
@@ -165,81 +178,73 @@ let solve (poset : Input_poset.t) params =
       fix ()
     in
     (* Target level of a selectable element under the current policy. *)
-    let target_level e =
-      match (params.policy, e.Input_poset.category) with
-      | Dimvect levels, 1 when e.Input_poset.card > 1 -> levels.(e.Input_poset.id)
-      | (Fixed_min | Flexible _ | Dimvect _), _ -> Input_poset.min_level e
+    let target_level =
+      Array.map
+        (fun e ->
+          match (params.policy, e.Input_poset.category) with
+          | Dimvect levels, 1 when e.Input_poset.card > 1 -> levels.(e.Input_poset.id)
+          | (Fixed_min | Flexible _ | Dimvect _), _ -> Input_poset.min_level e)
+        elements
     in
     (* next_to_code (Section 3.4.1): prefer high target level, category 1,
-       and elements sharing children with the last assigned one. *)
+       and elements sharing children with the last assigned one; the
+       lowest id breaks ties. *)
     let select last =
-      let best = ref None in
-      Array.iter
-        (fun e ->
-          let id = e.Input_poset.id in
-          if
-            faces.(id) = None
-            && (e.Input_poset.category = 1 || e.Input_poset.category = 3)
-            && List.for_all (fun f -> faces.(f) <> None) e.Input_poset.fathers
-          then begin
-            let shares =
-              match last with
-              | Some lid -> if Input_poset.share_children elements.(lid) e then 1 else 0
-              | None -> 0
-            in
-            let key = (target_level e, (if e.Input_poset.category = 1 then 1 else 0), shares, -id) in
-            match !best with
-            | Some (bkey, _) when bkey >= key -> ()
-            | Some _ | None -> best := Some (key, id)
-          end)
-        elements;
-      Option.map snd !best
-    in
-    (* Only the universe assigned so far? Then the next face is the first
-       one placed, and any face of its level maps to any other under a
-       cube automorphism: trying one representative is complete. *)
-    let only_universe_assigned () =
-      let count = ref 0 in
-      Array.iter (fun f -> if f <> None then incr count) faces;
-      !count = 1
+      let best = ref (-1) and best_key = ref (-1) in
+      for x = 0 to Array.length selectable_ids - 1 do
+        let id = selectable_ids.(x) in
+        if pos.(id) < 0 && waiting.(id) = 0 then begin
+          let shares = last >= 0 && Input_poset.share_children (Input_poset.pair poset last id) in
+          let key =
+            (4 * target_level.(id))
+            + (if elements.(id).Input_poset.category = 1 then 2 else 0)
+            + if shares then 1 else 0
+          in
+          if key > !best_key then begin
+            best := id;
+            best_key := key
+          end
+        end
+      done;
+      !best
     in
     let candidate_faces id =
       let e = elements.(id) in
       match e.Input_poset.category with
       | 1 ->
-          let lmin = target_level e in
+          let lmin = target_level.(id) in
           let lmax =
             match params.policy with
-            | Flexible slack -> min (k - 1) (Input_poset.min_level e + slack)
+            | Flexible slack -> min (k - 1) (min_level.(id) + slack)
             | Fixed_min | Dimvect _ -> lmin
           in
           if lmin >= k then Seq.empty
           else
             let levels = Seq.init (lmax - lmin + 1) (fun i -> lmin + i) in
-            let faces = Seq.concat_map (Face.faces_at_level k) levels in
-            if only_universe_assigned () then
-              (* One representative per level suffices up to automorphism. *)
-              Seq.concat_map
-                (fun l -> Seq.take 1 (Face.faces_at_level k l))
-                levels
-            else faces
+            if !top = 1 then
+              (* Only the universe is assigned, so this is the first face
+                 placed: any face of its level maps to any other under a
+                 cube automorphism, and one representative per level is
+                 complete. *)
+              Seq.concat_map (fun l -> Seq.take 1 (Face.faces_at_level k l)) levels
+            else Seq.concat_map (Face.faces_at_level k) levels
       | 3 -> (
-          let father = List.hd e.Input_poset.fathers in
-          match faces.(father) with
-          | None -> Seq.empty
-          | Some g ->
-              let lg = Face.level k g in
-              let lmin = Input_poset.min_level e in
-              let levels =
-                match params.policy with
-                | Fixed_min -> if lmin < lg then Seq.return lmin else Seq.empty
-                | Flexible slack ->
-                    Seq.init (max 0 (min (lg - 1) (lmin + slack) - lmin + 1)) (fun i -> lmin + i)
-                | Dimvect _ ->
-                    (* full lower-level backtracking: any feasible level *)
-                    Seq.init (max 0 (lg - lmin)) (fun i -> lmin + i)
-              in
-              Seq.concat_map (fun l -> Face.subfaces_at_level k g l) levels)
+          let father = fathers.(id).(0) in
+          if pos.(father) < 0 then Seq.empty
+          else
+            let g = face_of father in
+            let lg = Face.level k g in
+            let lmin = min_level.(id) in
+            let levels =
+              match params.policy with
+              | Fixed_min -> if lmin < lg then Seq.return lmin else Seq.empty
+              | Flexible slack ->
+                  Seq.init (max 0 (min (lg - 1) (lmin + slack) - lmin + 1)) (fun i -> lmin + i)
+              | Dimvect _ ->
+                  (* full lower-level backtracking: any feasible level *)
+                  Seq.init (max 0 (lg - lmin)) (fun i -> lmin + i)
+            in
+            Seq.concat_map (fun l -> Face.subfaces_at_level k g l) levels)
       | _ -> Seq.empty
     in
     (* Completion: everything assigned AND the covering relations hold on
@@ -248,16 +253,14 @@ let solve (poset : Input_poset.t) params =
        them cannot be checked earlier. *)
     let final_codes () =
       let codes = Array.copy state_code in
-      Array.iteri
-        (fun id f ->
-          let s = singleton_state.(id) in
-          if s >= 0 && codes.(s) < 0 then
-            match f with Some face -> codes.(s) <- face.Face.bits | None -> ())
-        faces;
+      for id = 0 to m - 1 do
+        let s = singleton_state.(id) in
+        if s >= 0 && codes.(s) < 0 && pos.(id) >= 0 then codes.(s) <- fbits.(id)
+      done;
       codes
     in
     let all_assigned () =
-      Array.for_all Option.is_some faces
+      !top = m
       && (params.output_constraints = []
          ||
          let codes = final_codes () in
@@ -269,20 +272,21 @@ let solve (poset : Input_poset.t) params =
     in
     let rec go last =
       match select last with
-      | None -> all_assigned ()
-      | Some id ->
+      | -1 -> all_assigned ()
+      | id ->
           let rec try_faces tried seq =
             match seq () with
             | Seq.Nil ->
                 Instrument.observe h_backtrack tried;
                 false
-            | Seq.Cons (f, rest) ->
+            | Seq.Cons ((f : Face.t), rest) ->
                 tick ();
-                if verify id f then begin
-                  assign id f;
+                let fm = f.Face.mask and fb = f.Face.bits in
+                if verify id fm fb then begin
+                  assign id fm fb;
                   match cascade () with
                   | Some forced ->
-                      if go (Some id) then begin
+                      if go id then begin
                         Instrument.observe h_backtrack (tried + 1);
                         true
                       end
@@ -299,18 +303,19 @@ let solve (poset : Input_poset.t) params =
           in
           try_faces 0 (candidate_faces id)
     in
+    let full = Face.full k in
     match
-      assign poset.Input_poset.universe (Face.full k);
+      assign poset.Input_poset.universe full.Face.mask full.Face.bits;
       (match cascade () with
       | None -> false
-      | Some _ -> go None)
+      | Some _ -> go (-1))
     with
     | true ->
         (* A singleton forced to a face of level > 0 owns every vertex of
            that face; its code is the face's base vertex. *)
         let codes = final_codes () in
         ignore (Array.for_all (fun c -> c >= 0) codes || (invalid_arg "Embed.solve: missing code"));
-        Sat { codes; faces = Array.map Option.get faces }
+        Sat { codes; faces = Array.init m face_of }
     | false -> Unsat
     | exception Work_exhausted -> Exhausted
   end

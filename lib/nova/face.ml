@@ -18,11 +18,7 @@ let make k ~mask ~bits =
   if mask land lnot all <> 0 then invalid_arg "Face.make: mask out of range";
   { mask; bits = bits land mask }
 
-let popcount n0 =
-  let rec loop n acc = if n = 0 then acc else loop (n land (n - 1)) (acc + 1) in
-  loop n0 0
-
-let level k f = k - popcount f.mask
+let level k f = k - Bitvec.popcount_word f.mask
 let cardinality k f = 1 lsl level k f
 
 let inter a b =
@@ -54,7 +50,7 @@ let vertices k f =
    sequence of masks in lexicographic order of positions. *)
 let rec choose_bits from m : int Seq.t =
   if m = 0 then Seq.return 0
-  else if popcount from < m then Seq.empty
+  else if Bitvec.popcount_word from < m then Seq.empty
   else
     match
       let rec lowest d = if from land (1 lsl d) <> 0 then d else lowest (d + 1) in

@@ -110,11 +110,11 @@ let iexact_code ~num_states ?(max_work = 2_000_000) ?(budget = Budget.unlimited)
     (* Accretion: keep every constraint the bounded search can satisfy
        together at the minimum length. *)
     let codes = ref (Array.init num_states (fun s -> s)) in
-    let kept = ref [] in
+    let kept = ref (Input_poset.build ~num_states []) in
     List.iter
       (fun g ->
         if not (Budget.exhausted budget) then begin
-          let trial = Input_poset.build ~num_states (g :: !kept) in
+          let trial = Input_poset.extend !kept g in
           match
             Embed.solve trial
               {
@@ -126,7 +126,7 @@ let iexact_code ~num_states ?(max_work = 2_000_000) ?(budget = Budget.unlimited)
           with
           | Embed.Sat { codes = cs; _ } ->
               codes := cs;
-              kept := g :: !kept
+              kept := trial
           | Embed.Unsat | Embed.Exhausted -> ()
         end)
       (List.sort (fun a b -> compare (Bitvec.cardinal b) (Bitvec.cardinal a)) ics);
@@ -145,11 +145,10 @@ let iexact_code ~num_states ?(max_work = 2_000_000) ?(budget = Budget.unlimited)
   end;
   match !answer with Some r -> Sat r | None -> Exhausted
 
-let semiexact_code ~num_states ~k ?(max_work = 30_000) ?(budget = Budget.unlimited)
-    ?(output_constraints = []) ics =
+let semiexact_code ~k ?(max_work = 30_000) ?(budget = Budget.unlimited)
+    ?(output_constraints = []) poset =
   if Budget.exhausted budget then None
-  else begin
-    let poset = Input_poset.build ~num_states ics in
+  else
     match
       Embed.solve poset
         {
@@ -161,4 +160,3 @@ let semiexact_code ~num_states ~k ?(max_work = 30_000) ?(budget = Budget.unlimit
     with
     | Embed.Sat { codes; _ } -> Some codes
     | Embed.Unsat | Embed.Exhausted -> None
-  end

@@ -31,17 +31,19 @@ type outcome = Sat of result | Exhausted
 val iexact_code :
   num_states:int -> ?max_work:int -> ?budget:Budget.t -> Bitvec.t list -> outcome
 
-(** [semiexact_code ~num_states ~k ~max_work ?output_constraints ics] is
-    the bounded-backtracking variant of Section 4.1: all faces at their
-    minimum feasible level, search capped by [max_work] (default
-    [30_000]). With [output_constraints] it becomes [io_semiexact_code]
-    (Section 6.2.1): face assignments violating an active covering
-    relation are rejected. Returns the state codes on success. *)
+(** [semiexact_code ~k ~max_work ?output_constraints poset] is the
+    bounded-backtracking variant of Section 4.1 on the input poset of
+    the constraints ({!Input_poset.build}): all faces at their minimum
+    feasible level, search capped by [max_work] (default [30_000]). With
+    [output_constraints] it becomes [io_semiexact_code] (Section 6.2.1):
+    face assignments violating an active covering relation are rejected.
+    Returns the state codes on success. Taking the poset rather than the
+    groups lets an accretion loop grow one poset with
+    {!Input_poset.extend} instead of rebuilding it for every trial. *)
 val semiexact_code :
-  num_states:int ->
   k:int ->
   ?max_work:int ->
   ?budget:Budget.t ->
   ?output_constraints:Constraints.output_constraint list ->
-  Bitvec.t list ->
+  Input_poset.t ->
   int array option

@@ -31,16 +31,19 @@ let ihybrid_code ~num_states ?nbits ?(max_work = 30_000) ?(seed = 0) ?order_seed
   in
   let codes = ref None in
   let sic = ref [] and ric = ref [] in
-  (* Accretion at the minimum code length. *)
+  (* Accretion at the minimum code length; [accepted] is the input poset
+     of [sic], grown by one group per accepted constraint. *)
+  let accepted = ref (Input_poset.build ~num_states []) in
   List.iter
     (fun (ic : Constraints.input_constraint) ->
       if Budget.exhausted budget then ric := ic :: !ric
       else
-        let groups = List.map (fun (c : Constraints.input_constraint) -> c.Constraints.states) (ic :: !sic) in
-        match Iexact.semiexact_code ~num_states ~k:min_len ~max_work ~budget groups with
+        let trial = Input_poset.extend !accepted ic.Constraints.states in
+        match Iexact.semiexact_code ~k:min_len ~max_work ~budget trial with
         | Some cs ->
             codes := Some cs;
-            sic := ic :: !sic
+            sic := ic :: !sic;
+            accepted := trial
         | None -> ric := ic :: !ric)
     ordered;
   (* Pathological fallback: a random starting encoding. *)

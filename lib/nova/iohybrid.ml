@@ -63,16 +63,19 @@ let run ~variant ?nbits ?(max_work = 30_000) ?(seed = 0) ?(budget = Budget.unlim
     in
     let codes = ref None in
     let sic = ref [] and ric = ref [] in
+    (* The input poset of [sic], grown by one group per acceptance. *)
+    let accepted = ref (Input_poset.build ~num_states:n []) in
     List.iter
       (fun (ic : Constraints.input_constraint) ->
-        match
-          Iexact.semiexact_code ~num_states:n ~k:min_len ~max_work ~budget
-            (groups_of (ic :: !sic))
-        with
-        | Some cs ->
-            codes := Some cs;
-            sic := ic :: !sic
-        | None -> ric := ic :: !ric)
+        if Budget.exhausted budget then ric := ic :: !ric
+        else
+          let trial = Input_poset.extend !accepted ic.Constraints.states in
+          match Iexact.semiexact_code ~k:min_len ~max_work ~budget trial with
+          | Some cs ->
+              codes := Some cs;
+              sic := ic :: !sic;
+              accepted := trial
+          | None -> ric := ic :: !ric)
       (List.sort by_weight_desc stage1_ics);
     (* Stage 2: clusters of output constraints in decreasing weight. *)
     let soc = ref [] in
@@ -88,17 +91,21 @@ let run ~variant ?nbits ?(max_work = 30_000) ?(seed = 0) ?(budget = Budget.unlim
               cl.Constraints.companion
           else []
         in
-        let groups = groups_of (companions @ !sic) in
-        let ocs = cluster_edges (cl :: !soc) in
-        match
-          Iexact.semiexact_code ~num_states:n ~k:min_len ~max_work ~budget
-            ~output_constraints:ocs groups
-        with
-        | Some cs ->
+        let attempt =
+          if Budget.exhausted budget then None
+          else
+            let trial = List.fold_left Input_poset.extend !accepted (groups_of companions) in
+            let ocs = cluster_edges (cl :: !soc) in
+            Iexact.semiexact_code ~k:min_len ~max_work ~budget ~output_constraints:ocs trial
+            |> Option.map (fun cs -> (cs, trial))
+        in
+        match attempt with
+        | Some (cs, trial) ->
             codes := Some cs;
             soc := cl :: !soc;
             if variant then begin
               sic := companions @ !sic;
+              accepted := trial;
               ric :=
                 List.filter
                   (fun (r : Constraints.input_constraint) ->

@@ -51,12 +51,11 @@ let min_opt a b =
 (* Always a fresh root, even when unconstrained: derived budgets are
    ticked by concurrent request handlers, and sharing the global
    [unlimited] value across them would share its counters. *)
-let derive ?deadline_ms ?max_work caps =
-  match
-    (min_opt caps.cap_deadline_ms deadline_ms, min_opt caps.cap_work max_work)
-  with
-  | None, None -> create ()
-  | deadline_ms, max_work -> create ?deadline_ms ?max_work ()
+let derive ?deadline_ms ?max_work ?cancel caps =
+  create
+    ?deadline_ms:(min_opt caps.cap_deadline_ms deadline_ms)
+    ?max_work:(min_opt caps.cap_work max_work)
+    ?cancel ()
 
 let reason_name = function Work -> "work" | Deadline -> "deadline" | Cancelled -> "cancelled"
 

@@ -54,14 +54,15 @@ type caps = { cap_deadline_ms : float option; cap_work : int option }
     for. *)
 val no_caps : caps
 
-(** [derive ?deadline_ms ?max_work caps] is the per-request budget a
-    serving layer admits the request under: on each axis the minimum of
-    the request's ask and the cap (an axis neither side bounds stays
-    unlimited). Always a {e fresh} root — never the shared {!unlimited}
-    value — because derived budgets are ticked concurrently by request
-    handlers; with {!no_caps} and no request limits it is behaviorally
-    the one-shot CLI's default. *)
-val derive : ?deadline_ms:float -> ?max_work:int -> caps -> t
+(** [derive ?deadline_ms ?max_work ?cancel caps] is the per-request
+    budget a serving layer admits the request under: on each axis the
+    minimum of the request's ask and the cap (an axis neither side
+    bounds stays unlimited), with [cancel] polled as in {!create}.
+    Always a {e fresh} root — never the shared {!unlimited} value —
+    because derived budgets are ticked concurrently by request handlers;
+    with {!no_caps}, no request limits and a [cancel] that never fires
+    it is behaviorally the one-shot CLI's default. *)
+val derive : ?deadline_ms:float -> ?max_work:int -> ?cancel:(unit -> bool) -> caps -> t
 
 (** [tick b] charges one unit of work. Returns [false] when the budget
     (or an ancestor) is exhausted — the caller should stop. *)

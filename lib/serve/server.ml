@@ -56,6 +56,7 @@ type t = {
   c_hits : int Atomic.t;
   peak : int Atomic.t;
   slots : Semaphore.Counting.t;
+  computing : int Atomic.t;  (* slots taken *)
   inflight : served Exec.Inflight.t;
   conns : (Unix.file_descr, unit) Hashtbl.t;
   conns_mutex : Mutex.t;
@@ -64,7 +65,14 @@ type t = {
   flight : Metrics.Flight.t;
   access : out_channel option;
   access_lock : Mutex.t;
+  onehot_memo : (string, (int * int) option) Hashtbl.t;
+  onehot_order : string Queue.t;  (* insertion order, oldest first *)
+  onehot_lock : Mutex.t;
 }
+
+(* Entries of the 1-hot reference memo: one per distinct machine, a
+   digest and two ints each. *)
+let onehot_memo_capacity = 256
 
 (* Production metrics (default-on, see lib/metrics): request counts by
    verb, full-request latency by (tier, verb), and the four lifecycle
@@ -134,6 +142,22 @@ let resolve_machine = function
 
 let caps t = { Budget.cap_deadline_ms = t.cfg.cap_deadline_ms; cap_work = t.cfg.cap_work }
 
+(* A computation runs on its connection's thread, which shares the
+   runtime lock with every other connection thread, and OCaml hands the
+   lock over only every 50 ms. Yielding at each poll of the request
+   budget (every few hundred work units) lets a request that arrives
+   mid-computation be read and parsed at once, in time to coalesce onto
+   the computation, instead of a time slice later. Only a lone
+   computation yields: two of them would hand the lock to each other at
+   every poll, a switch storm whose cost follows the OS scheduler, while
+   the 50 ms hand-over already interleaves them. Never cancels. *)
+let admit t ?deadline_ms ?max_work () =
+  let yield_to_connections () =
+    if Atomic.get t.computing <= 1 then Thread.yield ();
+    false
+  in
+  Budget.derive ?deadline_ms ?max_work ~cancel:yield_to_connections (caps t)
+
 (* One compute slot: [max_inflight] gates how many computations run at
    once (coalesced followers never take one — they only wait). All
    span-emitting work happens inside a slot, so with the default single
@@ -143,11 +167,16 @@ let caps t = { Budget.cap_deadline_ms = t.cfg.cap_deadline_ms; cap_work = t.cfg.
 let with_slot t f =
   let t0 = Unix.gettimeofday () in
   Semaphore.Counting.acquire t.slots;
+  Atomic.incr t.computing;
   let queue_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   Metrics.Registry.observe m_admission (queue_ms /. 1000.);
   if Trace.enabled () && queue_ms > 0.5 then
     Trace.instant "serve.queue" ~attrs:[ ("queue_ms", Trace.Float queue_ms) ];
-  Fun.protect ~finally:(fun () -> Semaphore.Counting.release t.slots) (fun () -> f ())
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.decr t.computing;
+      Semaphore.Counting.release t.slots)
+    (fun () -> f ())
 
 let origin_name = function
   | Exec.Job.Computed -> "computed"
@@ -160,10 +189,35 @@ let count_origin t (row : Exec.Job.row) =
   | Exec.Job.Cached -> Atomic.incr t.c_hits
   | Exec.Job.Cancelled_by_race -> ()
 
-let render_encode m (s : Exec.Job.success) ~budget =
+(* The 1-hot reference line is a full ESPRESSO run of the machine's
+   1-hot encoding, dearer than a certified cache hit. Under a budget
+   that cannot trip (a plain request, no server caps) it depends on the
+   machine alone, so it is memoized by the machine's canonical text and
+   state order, oldest entry evicted first. Any other budget computes
+   it afresh: whether it fits is the request's own outcome. *)
+let onehot_reference t ~budget ~unlimited m =
+  if not unlimited then Render.onehot_reference ~budget m
+  else
+    let key =
+      Digest.string (String.concat "\x00" (Kiss.to_string m :: Array.to_list m.Fsm.states))
+    in
+    match Mutex.protect t.onehot_lock (fun () -> Hashtbl.find_opt t.onehot_memo key) with
+    | Some r -> r
+    | None ->
+        let r = Render.onehot_reference ~budget m in
+        Mutex.protect t.onehot_lock (fun () ->
+            if not (Hashtbl.mem t.onehot_memo key) then begin
+              if Queue.length t.onehot_order >= onehot_memo_capacity then
+                Hashtbl.remove t.onehot_memo (Queue.pop t.onehot_order);
+              Hashtbl.replace t.onehot_memo key r;
+              Queue.push key t.onehot_order
+            end);
+        r
+
+let render_encode t m (s : Exec.Job.success) ~budget ~unlimited =
   Render.encode_text m s.Exec.Job.encoding ~num_cubes:s.Exec.Job.num_cubes
     ~area:s.Exec.Job.area
-    ~onehot:(Render.onehot_reference ~budget m)
+    ~onehot:(onehot_reference t ~budget ~unlimited m)
 
 (* A plain request (no budget_ms / max_work ask) takes the full serving
    path: coalescing table, cache read, store under the determinism
@@ -176,10 +230,12 @@ let serve_encode t (req : Protocol.encode_request) =
   | Error e -> { payload = None; err = Some e; origin = "request"; spent = 0 }
   | Ok m -> (
       let task = Exec.Job.task ?bits:req.bits ~fallback:req.fallback m req.algorithm in
+      let plain = req.budget_ms = None && req.max_work = None in
+      let unlimited = plain && t.cfg.cap_deadline_ms = None && t.cfg.cap_work = None in
       let leader ?cache () =
         with_slot t @@ fun () ->
         let budget =
-          Budget.derive ?deadline_ms:req.budget_ms ?max_work:req.max_work (caps t)
+          admit t ?deadline_ms:req.budget_ms ?max_work:req.max_work ()
         in
         let row = timed m_compute (fun () -> Exec.Portfolio.run_task ?cache ~budget task) in
         count_origin t row;
@@ -187,7 +243,8 @@ let serve_encode t (req : Protocol.encode_request) =
         match row.Exec.Job.result with
         | Ok s ->
             {
-              payload = Some (timed m_render (fun () -> render_encode m s ~budget));
+              payload =
+                Some (timed m_render (fun () -> render_encode t m s ~budget ~unlimited));
               err = None;
               origin = origin_name row.Exec.Job.origin;
               spent;
@@ -195,7 +252,6 @@ let serve_encode t (req : Protocol.encode_request) =
         | Error e ->
             { payload = None; err = Some e; origin = origin_name row.Exec.Job.origin; spent }
       in
-      let plain = req.budget_ms = None && req.max_work = None in
       if not plain then leader ()
       else
         match
@@ -226,7 +282,7 @@ let serve_report t ~budget_ms machine =
             (* A budget tree is ticked by one domain: under a request
                deadline the tasks run sequentially, sharing the request
                budget — a per-request ceiling, not a per-task one. *)
-            let budget = Budget.derive ?deadline_ms:budget_ms (caps t) in
+            let budget = admit t ?deadline_ms:budget_ms () in
             let rows = List.map (fun task -> Exec.Portfolio.run_task ?cache ~budget task) tasks in
             (rows, Budget.spent budget)
         in
@@ -719,6 +775,7 @@ let run cfg =
           c_coalesced = Atomic.make 0; c_computed = Atomic.make 0; c_hits = Atomic.make 0;
           peak = Atomic.make 0;
           slots = Semaphore.Counting.make (max 1 cfg.max_inflight);
+          computing = Atomic.make 0;
           inflight = Exec.Inflight.create ();
           conns = Hashtbl.create 16;
           conns_mutex = Mutex.create ();
@@ -727,6 +784,9 @@ let run cfg =
           flight = Metrics.Flight.create (max 1 cfg.flight_capacity);
           access;
           access_lock = Mutex.create ();
+          onehot_memo = Hashtbl.create 16;
+          onehot_order = Queue.create ();
+          onehot_lock = Mutex.create ();
         }
       in
       current := Some t;

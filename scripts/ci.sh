@@ -49,6 +49,17 @@ for machine in lion dk16; do
   echo "  certify $machine (ihybrid): exit 0 ok"
 done
 
+echo "== search-identity smoke: the embedding search tree of styr is pinned =="
+# The embedding search runs under a tick cap, so a change that makes
+# ticks cheaper must leave the tree it explores alone. styr is too large
+# for the tier-1 pins (809,048 ticks); its embed.* counter and histogram
+# lines must match the committed pin exactly.
+$NOVA encode -a ihybrid --instrument styr 2>&1 > /dev/null \
+  | grep '^embed\.' | grep -v '^embed\.solve ' > "$TMP/styr.embed"
+diff test/cli/styr_ihybrid.embed "$TMP/styr.embed" \
+  || { echo "styr embed counters drifted from test/cli/styr_ihybrid.embed"; exit 1; }
+echo "  styr ihybrid embed counters match the pin: ok"
+
 echo "== fault-injection smoke: injected faults must exit 6 =="
 for fault in duplicate-code drop-cube bogus-ic-claim; do
   rc=0; $NOVA encode -a ihybrid --certify --inject "$fault" lion \

@@ -155,6 +155,90 @@ let prop_mincube_at_least_log =
       let rec bits k acc = if acc >= n then k else bits (k + 1) (acc * 2) in
       Input_poset.mincube_dim poset >= bits 0 1)
 
+(* Every entry of the static relation table agrees with the set
+   operations it stands for. *)
+let prop_relation_table =
+  QCheck.Test.make ~name:"relation table = subset / disjoint / intersection id / shared child"
+    ~count:150 gen_instance (fun (n, seed) ->
+      let poset = Input_poset.build ~num_states:n (groups_of (n, seed)) in
+      let elems = poset.Input_poset.elements in
+      let ok = ref true in
+      Array.iter
+        (fun a ->
+          Array.iter
+            (fun b ->
+              let i = a.Input_poset.id and j = b.Input_poset.id in
+              let sa = a.Input_poset.states and sb = b.Input_poset.states in
+              let common = Bitvec.inter sa sb in
+              let expected_inter =
+                if Bitvec.is_empty common then -1
+                else Option.value ~default:(-2) (Input_poset.find poset common)
+              in
+              let shared =
+                List.exists (fun c -> List.mem c b.Input_poset.children) a.Input_poset.children
+              in
+              let r = Input_poset.pair poset i j in
+              if
+                Input_poset.subset r <> Bitvec.subset sa sb
+                || Input_poset.superset r <> Bitvec.subset sb sa
+                || (Input_poset.inter_id r < 0) <> Bitvec.disjoint sa sb
+                || Input_poset.inter_id r <> expected_inter
+                || Input_poset.share_children r <> shared
+              then ok := false)
+            elems)
+        elems;
+      !ok)
+
+(* Reference closure: pairwise intersections to a fixpoint, in the
+   element order (decreasing cardinality, then Bitvec.compare). *)
+let naive_closure n groups =
+  let order a b =
+    let c = compare (Bitvec.cardinal b) (Bitvec.cardinal a) in
+    if c <> 0 then c else Bitvec.compare a b
+  in
+  let rec fix sets =
+    let next =
+      List.sort_uniq order
+        (List.concat_map
+           (fun a ->
+             List.filter_map
+               (fun b ->
+                 let i = Bitvec.inter a b in
+                 if Bitvec.is_empty i then None else Some i)
+               sets)
+           sets
+        @ sets)
+    in
+    if List.length next = List.length sets then sets else fix next
+  in
+  fix
+    (List.sort_uniq order
+       (List.filter
+          (fun g -> not (Bitvec.is_empty g))
+          ((Bitvec.full n :: List.init n (fun s -> Bitvec.of_list n [ s ])) @ groups)))
+
+(* Growing a poset by one group is the same poset as building it with
+   that group: same ids, states, fathers, children, categories and
+   relation table, and the states are exactly the reference closure. *)
+let prop_extend_is_build =
+  QCheck.Test.make ~name:"extend (build gs) g = build (g :: gs), element for element" ~count:150
+    gen_instance (fun (n, seed) ->
+      let gs = groups_of (n, seed) in
+      let extra = groups_of (n, seed + 1) in
+      (* Sometimes a fresh group, sometimes one already in the closure. *)
+      let g =
+        match (extra, gs) with
+        | _, g :: _ when seed mod 4 = 0 -> Bitvec.copy g
+        | g :: _, _ -> g
+        | [], _ -> Bitvec.of_list n [ 0 ]
+      in
+      let grown = Input_poset.extend (Input_poset.build ~num_states:n gs) g in
+      let built = Input_poset.build ~num_states:n (g :: gs) in
+      grown = built
+      && List.equal Bitvec.equal
+           (Array.to_list (Array.map (fun e -> e.Input_poset.states) built.Input_poset.elements))
+           (naive_closure n (g :: gs)))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_inter_is_set_intersection;
@@ -168,4 +252,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_categories_consistent;
     QCheck_alcotest.to_alcotest prop_singletons_and_universe_present;
     QCheck_alcotest.to_alcotest prop_mincube_at_least_log;
+    QCheck_alcotest.to_alcotest prop_relation_table;
+    QCheck_alcotest.to_alcotest prop_extend_is_build;
   ]

@@ -39,4 +39,5 @@ let () =
       ("scaling", Test_scaling.suite);
       ("metrics", Test_metrics.suite);
       ("serve", Test_serve.suite);
+      ("search-pins", Test_search_pins.suite);
     ]

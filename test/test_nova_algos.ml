@@ -327,7 +327,7 @@ let prop_semiexact_sound =
     (fun (seed, n, extra) ->
       let groups = random_groups seed n 5 in
       let k = Ihybrid.min_code_length n + extra in
-      match Iexact.semiexact_code ~num_states:n ~k groups with
+      match Iexact.semiexact_code ~k (Input_poset.build ~num_states:n groups) with
       | None -> true
       | Some codes ->
           let e = Encoding.make ~nbits:k codes in
@@ -349,7 +349,7 @@ let prop_io_semiexact_sound =
         done
       done;
       let k = Ihybrid.min_code_length n + 1 in
-      match Iexact.semiexact_code ~num_states:n ~k ~output_constraints:!ocs groups with
+      match Iexact.semiexact_code ~k ~output_constraints:!ocs (Input_poset.build ~num_states:n groups) with
       | None -> true
       | Some codes ->
           let e = Encoding.make ~nbits:k codes in

@@ -134,7 +134,7 @@ let test_iexact_paper_example () =
 
 let test_semiexact_paper_example () =
   (* At k = 4 the minimum-level restriction still finds a full solution. *)
-  match Iexact.semiexact_code ~num_states:7 ~k:4 paper_ics with
+  match Iexact.semiexact_code ~k:4 (Input_poset.build ~num_states:7 paper_ics) with
   | None -> Alcotest.fail "semiexact failed at k=4"
   | Some codes ->
       let enc = Encoding.make ~nbits:4 codes in
@@ -144,7 +144,7 @@ let test_semiexact_paper_example () =
 
 let test_semiexact_infeasible_dim () =
   (* k = 2 cannot even hold 7 distinct codes. *)
-  check "k=2 infeasible" true (Iexact.semiexact_code ~num_states:7 ~k:2 paper_ics = None)
+  check "k=2 infeasible" true (Iexact.semiexact_code ~k:2 (Input_poset.build ~num_states:7 paper_ics) = None)
 
 let suite =
   [

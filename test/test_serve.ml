@@ -254,6 +254,36 @@ let test_serve_warm_hits_cache () =
   check_int "one cache hit" 1 s.Serve.Server.cache_hits;
   Serve.Client.close c
 
+(* The 1-hot reference line is an ESPRESSO run of its own; a warm hit
+   of a plain request must reuse the daemon's memoized reference rather
+   than minimize again, and serve the same bytes. *)
+let test_serve_warm_hit_reuses_onehot () =
+  with_temp_dir @@ fun cache_dir ->
+  with_server ~tweak:(fun c ->
+      { c with Serve.Server.cache = Some (Exec.Cache.open_dir cache_dir) })
+  @@ fun path ->
+  let c = must_connect path in
+  let line = request_line ~algorithm:"ihybrid" "dk15" in
+  let cold = must_request c line in
+  let minimize_calls () =
+    Option.value ~default:0 (List.assoc_opt "espresso.minimize_calls" (Instrument.counters ()))
+  in
+  let was_on = Instrument.enabled () in
+  Instrument.enable ();
+  let before = minimize_calls () in
+  let warm =
+    Fun.protect
+      ~finally:(fun () -> if not was_on then Instrument.disable ())
+      (fun () -> must_request c line)
+  in
+  check "warm cached" true (warm.Serve.Protocol.origin = Some "cached");
+  check_int "no ESPRESSO run on a warm hit" 0 (minimize_calls () - before);
+  check "warm payload is the one-shot payload" true
+    (warm.Serve.Protocol.payload = Some (oneshot_stdout "dk15" Harness.Driver.Ihybrid));
+  check "cold and warm payloads identical" true
+    (cold.Serve.Protocol.payload = warm.Serve.Protocol.payload);
+  Serve.Client.close c
+
 (* A constrained request (an explicit ask) bypasses cache and
    coalescing: a work-starved ask must degrade exactly like the
    one-shot CLI would, and its degraded result must not poison the
@@ -842,6 +872,8 @@ let suite =
     Alcotest.test_case "serve: payload byte-identical to one-shot" `Quick
       test_serve_payload_byte_identical;
     Alcotest.test_case "serve: warm requests hit the cache" `Quick test_serve_warm_hits_cache;
+    Alcotest.test_case "serve: a warm hit reuses the 1-hot reference" `Quick
+      test_serve_warm_hit_reuses_onehot;
     Alcotest.test_case "serve: constrained requests are individual" `Quick
       test_serve_constrained_is_individual;
     Alcotest.test_case "serve: report parity" `Slow test_serve_report_parity;
